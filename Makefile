@@ -10,9 +10,9 @@ GO ?= go
 # instrumentation.
 RACE_PKGS = ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve
 
-.PHONY: check fmt vet build test race bench obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
+.PHONY: check fmt vet build test race bench bench-smoke obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
 
-check: fmt vet build test race obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
+check: fmt vet build test race obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke bench-smoke tier-registry-gate obs-catalog-gate
 
 # gofmt cleanliness gate: fails listing the offending files.
 fmt:
@@ -41,6 +41,22 @@ BENCH_OUT ?= BENCH_PR10.json
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkMVM' -benchmem . \
 		| $(GO) run ./scripts/benchjson -out $(BENCH_OUT)
+
+# End-to-end benchmark correctness gate: a short traced e2ebench run of
+# each workload must pass every output check the benchmark makes
+# (golden output digests, circuit-tier fidelity, span trees, repeatable
+# work counts) with no failed call. The last stdout line of a run is
+# its JSON summary.
+BENCH_SMOKE_WORKLOADS = forward-surrogate forward-circuit serve-open
+
+bench-smoke:
+	@for w in $(BENCH_SMOKE_WORKLOADS); do \
+		line=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true'*'"failed":0,'*) echo "bench-smoke $$w: ok";; \
+		*) echo "bench-smoke $$w: $$line"; exit 1;; \
+		esac; \
+	done
 
 # End-to-end metrics gate: run a tiny funcsim-run with -metrics-addr,
 # the fidelity probe, and trace export, scrape the endpoint, and assert

@@ -22,6 +22,15 @@ go run ./scripts/servesmoke
 go run ./scripts/sweepsmoke
 go run ./scripts/calibsmoke
 go run ./scripts/loadsmoke
+# Benchmark correctness smoke: every e2ebench workload's output checks
+# must pass with no failed call (see `make bench-smoke`).
+for w in forward-surrogate forward-circuit serve-open; do
+	line=$(bash e2ebench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+	case "$line" in
+	*'"correct":true'*'"failed":0,'*) ;;
+	*) echo "bench-smoke $w: $line"; exit 1 ;;
+	esac
+done
 go run ./scripts/obscatalog
 # Tier names resolve only through the funcsim model registry: no Go
 # file may switch on tier-name strings.

@@ -239,31 +239,43 @@ func (m *Model) NewGContext(g *linalg.Dense) *GContext {
 // is constant across every conductance context, so the functional
 // simulator computes it once per input block and reuses it across all
 // the tile slices (different GContexts) that see the same voltages.
-// A VContext is immutable after creation and safe to share across
+// A VContext is read-only between builds and safe to share across
 // goroutines — it replaces an identity-keyed memo inside Model whose
 // shared mutable state both serialized and thrashed under concurrent
-// tile evaluation.
+// tile evaluation. The zero value is ready for VContextInto.
 type VContext struct {
 	rows int
+	vn   *linalg.Dense // batch×Rows normalized voltages (build scratch)
 	base *linalg.Dense // batch×Hidden: Vn·W1v
 }
 
 // NewVContext precomputes the hidden-layer contribution of a voltage
-// batch (batch×Rows, physical units).
+// batch (batch×Rows, physical units). It allocates a fresh context and
+// delegates to VContextInto.
 func (m *Model) NewVContext(v *linalg.Dense) *VContext {
+	vc := &VContext{}
+	m.VContextInto(vc, v)
+	return vc
+}
+
+// VContextInto rebuilds vc for a new voltage batch, reusing its
+// buffers: once they have grown to the largest batch seen, rebuilding
+// allocates nothing. The caller must not rebuild a context while
+// predictions still read it.
+func (m *Model) VContextInto(vc *VContext, v *linalg.Dense) {
 	if v.Cols != m.Cfg.Rows {
 		panic(fmt.Sprintf("core: VContext with %d inputs for %d rows", v.Cols, m.Cfg.Rows))
 	}
 	n := v.Rows
-	vn := linalg.NewDense(n, m.Cfg.Rows)
+	vc.rows = n
+	vc.vn = linalg.Resize(vc.vn, n, m.Cfg.Rows)
 	for s := 0; s < n; s++ {
-		m.normalizeV(vn.Row(s), v.Row(s))
+		m.normalizeV(vc.vn.Row(s), v.Row(s))
 	}
 	// W1 rows [0, Rows) hold the V block.
-	w1v := linalg.NewDenseFrom(m.Cfg.Rows, m.Hidden, m.L1.Weight.W.Data[:m.Cfg.Rows*m.Hidden])
-	base := linalg.NewDense(n, m.Hidden)
-	linalg.MatMulSerialInto(base, vn, w1v)
-	return &VContext{rows: n, base: base}
+	w1v := linalg.Dense{Rows: m.Cfg.Rows, Cols: m.Hidden, Data: m.L1.Weight.W.Data[:m.Cfg.Rows*m.Hidden]}
+	vc.base = linalg.Resize(vc.base, n, m.Hidden)
+	linalg.MatMulSerialInto(vc.base, vc.vn, &w1v)
 }
 
 // PredictWorkspace holds the scratch buffers of one in-flight
@@ -272,16 +284,6 @@ func (m *Model) NewVContext(v *linalg.Dense) *VContext {
 // then performs no allocations in steady state.
 type PredictWorkspace struct {
 	hidden *linalg.Dense
-}
-
-func (ws *PredictWorkspace) hiddenFor(rows, cols int) *linalg.Dense {
-	if ws.hidden == nil || cap(ws.hidden.Data) < rows*cols {
-		ws.hidden = linalg.NewDense(rows, cols)
-		return ws.hidden
-	}
-	ws.hidden.Rows, ws.hidden.Cols = rows, cols
-	ws.hidden.Data = ws.hidden.Data[:rows*cols]
-	return ws.hidden
 }
 
 // PredictVGInto evaluates fR for a cached voltage batch against a
@@ -295,7 +297,8 @@ func (m *Model) PredictVGInto(dst *linalg.Dense, vc *VContext, gc *GContext, ws 
 		panic(fmt.Sprintf("core: predict into %dx%d, want %dx%d", dst.Rows, dst.Cols, n, m.Cfg.Cols))
 	}
 	// Hidden = ReLU(base + gc.bias).
-	hidden := ws.hiddenFor(n, m.Hidden)
+	ws.hidden = linalg.Resize(ws.hidden, n, m.Hidden)
+	hidden := ws.hidden
 	for s := 0; s < n; s++ {
 		brow := vc.base.Row(s)
 		row := hidden.Row(s)

@@ -531,12 +531,15 @@ func (m *Matrix) Tiles() (tr, tc, slices int) {
 func (m *Matrix) Crossbars() int { return m.crossbars }
 
 // inputBlock holds the digit-serial form of one tile row's activation
-// block for a whole batch and one sign.
+// block for a whole batch and one sign, compacted to its live streams:
+// a stream (b, k) is live when any of its digits is non-zero, and only
+// live streams reach a tile. Row r of vb is full-block stream live[r].
 type inputBlock struct {
-	vb       *linalg.Dense // batch·ka × n stream voltages
-	digitSum []int64       // per (b, k): Σ_i digit
-	any      bool          // any non-zero digit at all
-	vctx     *core.VContext
+	vb       *linalg.Dense  // len(live) × n stream voltages
+	digitSum []int64        // per full-block stream b·ka + k: Σ_i digit
+	live     []int          // full-block index of each vb row, ascending
+	vc       core.VContext  // GENIEx voltage context storage, reused across runs
+	vctx     *core.VContext // &vc when built for this run, nil otherwise
 }
 
 // runBlock guards the lazily quantized input blocks of one tile row:
@@ -554,7 +557,7 @@ type runBlock struct {
 type mvmTask struct {
 	tr, tc int
 	dot    []int64       // batch×tileCols signed shift-and-add partials
-	curr   *linalg.Dense // batch·ka × cols tile-current scratch
+	curr   *linalg.Dense // live rows × cols tile currents (capacity batch·ka rows)
 	stats  Stats         // task-local counters, folded after the run
 
 	// probeArm marks this task as sampled by the fidelity probe; the
@@ -715,13 +718,13 @@ func (r *mvmRun) doTask(idx int) {
 }
 
 // pass runs one differential pass (one sign of inputs against one sign
-// of weights) of a tile task: evaluate every weight slice's crossbar,
-// ADC-convert, and shift-and-add into the task's exact partial. gs
-// holds the slices' retained conductance matrices when the engine
-// retains them (nil otherwise); a probe-armed task offers its first
-// live slice evaluation for shadow-solving.
+// of weights) of a tile task: evaluate every weight slice's crossbar on
+// the block's live streams, ADC-convert, and shift-and-add into the
+// task's exact partial. gs holds the slices' retained conductance
+// matrices when the engine retains them (nil otherwise); a probe-armed
+// task offers its first live slice evaluation for shadow-solving.
 func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linalg.Dense, blk *inputBlock, sign int64) error {
-	if tiles == nil || !blk.any {
+	if tiles == nil || len(blk.live) == 0 {
 		t.stats.SkippedPasses++
 		return nil
 	}
@@ -729,6 +732,8 @@ func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linal
 	cfg := m.eng.cfg
 	mcols := cfg.Xbar.Cols
 	ka := cfg.streamDigits()
+	ops := int64(len(blk.live))
+	t.curr = linalg.Resize(t.curr, len(blk.live), mcols)
 	for l, tile := range tiles {
 		if err := currentsInto(ctx, tile, t.curr, blk.vb, blk.vctx); err != nil {
 			return fmt.Errorf("funcsim: tile (%d,%d) slice %d: %w", t.tr, t.tc, l, err)
@@ -737,22 +742,18 @@ func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linal
 			m.probe.offer(m.id, t.tr, t.tc, l, gs[l], blk, t.curr)
 			t.probeArm = false
 		}
-		for b := 0; b < r.batch; b++ {
-			for k := 0; k < ka; k++ {
-				ds := blk.digitSum[b*ka+k]
-				if ds == 0 {
-					continue // all-zero stream: nothing to add
-				}
-				t.stats.CrossbarOps++
-				t.stats.ADCConversions += int64(mcols)
-				t.stats.ShiftAdds += int64(mcols)
-				crow := t.curr.Row(b*ka + k)
-				shift := uint(k*cfg.StreamBits + l*cfg.SliceBits)
-				off := m.kg * float64(ds)
-				for j := 0; j < mcols; j++ {
-					p := int64(math.Round(m.adc.Convert(crow[j])*m.scale - off))
-					t.dot[b*mcols+j] += sign * (p << shift)
-				}
+		t.stats.CrossbarOps += ops
+		t.stats.ADCConversions += ops * int64(mcols)
+		t.stats.ShiftAdds += ops * int64(mcols)
+		for row, idx := range blk.live {
+			b, k := idx/ka, idx%ka
+			crow := t.curr.Row(row)
+			dot := t.dot[b*mcols : (b+1)*mcols]
+			shift := uint(k*cfg.StreamBits + l*cfg.SliceBits)
+			off := m.kg * float64(blk.digitSum[idx])
+			for j, c := range crow {
+				p := int64(math.Round(m.adc.Convert(c)*m.scale - off))
+				dot[j] += sign * (p << shift)
 			}
 		}
 	}
@@ -906,7 +907,7 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 	cfg := m.eng.cfg
 	batch := x.Rows
 	ka := cfg.streamDigits()
-	n, mcols := cfg.Xbar.Rows, cfg.Xbar.Cols
+	mcols := cfg.Xbar.Cols
 	r.x = x
 	r.batch = batch
 	r.failed = false
@@ -916,20 +917,12 @@ func (m *Matrix) getRun(x *linalg.Dense) *mvmRun {
 		r.accOut[i] = 0
 	}
 	for i := range r.blocks {
-		rb := &r.blocks[i]
-		rb.done = false
-		for s := range rb.blocks {
-			blk := &rb.blocks[s]
-			blk.vb = growDense(blk.vb, batch*ka, n)
-			blk.digitSum = growInt64(blk.digitSum, batch*ka)
-			blk.any = false
-			blk.vctx = nil
-		}
+		r.blocks[i].done = false // quantizeBlockInto sizes the blocks
 	}
 	for i := range r.tasks {
 		t := &r.tasks[i]
 		t.dot = growInt64(t.dot, batch*mcols)
-		t.curr = growDense(t.curr, batch*ka, mcols)
+		t.curr = linalg.Resize(t.curr, batch*ka, mcols)
 	}
 	if w := cfg.Workers; w >= 2 {
 		if cap(r.sem) != w {
@@ -946,11 +939,6 @@ func (m *Matrix) putRun(r *mvmRun) {
 	r.x = nil
 	r.ctx = nil
 	r.ts = nil
-	for i := range r.blocks {
-		for s := range r.blocks[i].blocks {
-			r.blocks[i].blocks[s].vctx = nil
-		}
-	}
 	m.runMu.Lock()
 	m.runs = append(m.runs, r)
 	m.runMu.Unlock()
@@ -965,21 +953,13 @@ func growInt64(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-// growDense returns d resized to rows×cols, reusing its backing array
-// when capacity allows. Contents are unspecified.
-func growDense(d *linalg.Dense, rows, cols int) *linalg.Dense {
-	need := rows * cols
-	if d == nil || cap(d.Data) < need {
-		return linalg.NewDense(rows, cols)
-	}
-	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:need]
-	return d
-}
-
 // quantizeBlockInto converts one tile row's activation block into the
 // positive and negative digit-serial input blocks, reusing the run's
-// buffers. When the model chain has a GENIEx surrogate, the per-block
-// voltage context is built here, once, and shared read-only by every
+// buffers, and compacts each block to its live streams: rows whose
+// digits are all zero are dropped, the rest packed to the front in
+// order, so no tile ever evaluates an all-zero stream. When the model
+// chain has a GENIEx surrogate, the per-block voltage context is built
+// here on the compacted block, once, and shared read-only by every
 // (slice, sign, tileCol) evaluation of the row. sur is the surrogate
 // of the run's pinned tileSet, so contexts and tiles always belong to
 // the same model version even while a SwapModel is in flight.
@@ -992,12 +972,12 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 
 	for s := range rb.blocks {
 		blk := &rb.blocks[s]
+		blk.vb = linalg.Resize(blk.vb, batch*ka, n)
 		linalg.Fill(blk.vb.Data, 0)
+		blk.digitSum = growInt64(blk.digitSum, batch*ka)
 		for i := range blk.digitSum {
 			blk.digitSum[i] = 0
 		}
-		blk.any = false
-		blk.vctx = nil
 	}
 	for b := 0; b < batch; b++ {
 		row := x.Row(b)
@@ -1016,7 +996,6 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 				mag = uint64(-q)
 			}
 			blk := &rb.blocks[s]
-			blk.any = true
 			for k := 0; k < ka; k++ {
 				d := quant.Digit(mag, cfg.StreamBits, k)
 				if d == 0 {
@@ -1027,11 +1006,26 @@ func (m *Matrix) quantizeBlockInto(rb *runBlock, x *linalg.Dense, tr int, sur *c
 			}
 		}
 	}
-	if sur != nil {
-		for s := range rb.blocks {
-			if blk := &rb.blocks[s]; blk.any {
-				blk.vctx = sur.NewVContext(blk.vb)
+	for s := range rb.blocks {
+		blk := &rb.blocks[s]
+		if cap(blk.live) < batch*ka {
+			blk.live = make([]int, 0, batch*ka)
+		}
+		blk.live = blk.live[:0]
+		for idx, ds := range blk.digitSum {
+			if ds == 0 {
+				continue
 			}
+			if r := len(blk.live); r != idx {
+				copy(blk.vb.Row(r), blk.vb.Row(idx))
+			}
+			blk.live = append(blk.live, idx)
+		}
+		blk.vb = linalg.Resize(blk.vb, len(blk.live), n)
+		blk.vctx = nil
+		if sur != nil && len(blk.live) > 0 {
+			sur.VContextInto(&blk.vc, blk.vb)
+			blk.vctx = &blk.vc
 		}
 	}
 }

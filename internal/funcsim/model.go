@@ -245,7 +245,7 @@ func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
 	}
 	linalg.MatMulSerialInto(dst, v, t.g) // ideal currents
 	s := t.getScratch()
-	s.fr = growDense(s.fr, v.Rows, t.g.Cols)
+	s.fr = linalg.Resize(s.fr, v.Rows, t.g.Cols)
 	t.m.PredictVGInto(s.fr, vc, t.ctx, &s.ws)
 	for b := 0; b < dst.Rows; b++ {
 		drow, frow := dst.Row(b), s.fr.Row(b)
@@ -374,8 +374,17 @@ func (m Circuit) NewTile(g *linalg.Dense) (Tile, error) {
 // converged node voltages (falling back to the cached factorization
 // seed on the first solve after programming). Accuracy is identical to
 // Circuit — every solve still runs full Newton to the same KCL
-// tolerance — but steady-state latency drops because correlated input
-// streams start near the solution.
+// tolerance.
+//
+// A warm start pays off only when consecutive drive vectors of a tile
+// are correlated, as in repeated or slowly drifting inputs. DNN
+// inference is not such a workload: the live streams a tile solves in
+// turn are digits of unrelated activations, so the previous solution
+// is a worse start than the factorization seed. On the e2ebench
+// forward-circuit workload (MiniConvNet, 8×8 tiles, seed 1)
+// fastcircuit spends 1.75× circuit's Newton iterations per image
+// (103,671 against 59,261) and about 1.6× its host time on a 2-core
+// host.
 //
 // The trade: with Cfg.BatchWorkers > 1 the mapping of batch items to
 // pooled instances depends on scheduling, so repeated runs are

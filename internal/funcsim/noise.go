@@ -17,8 +17,10 @@ import (
 // the deterministic distortions the wrapped model produces.
 //
 // Noise is deterministic given the Seed: each tile derives its own
-// stream, and draws advance with every Currents call, so repeated runs
-// of the same workload see identical noise.
+// stream, and draws advance with every current the tile reports, so
+// repeated runs of the same workload see identical noise. The MVM
+// pipeline hands tiles only live stream rows, so draws advance once
+// per live row and column; all-zero streams consume none.
 type Noisy struct {
 	// Inner is the analog model being perturbed.
 	Inner Model
@@ -68,8 +70,10 @@ type noisyTile struct {
 	inner Tile
 	std   float64
 
-	// The RNG stream advances with every draw; parallel tile tasks may
-	// evaluate the same tile concurrently, so draws are serialized.
+	// The RNG stream advances with every draw, one per element of the
+	// live-row current matrix the pipeline hands in; parallel tile
+	// tasks may evaluate the same tile concurrently, so draws are
+	// serialized.
 	// Which task draws first is scheduling-dependent, so the engine's
 	// bit-exact-at-any-worker-count guarantee covers the deterministic
 	// models only, not the noise ordering (see DESIGN.md).

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"geniex/internal/core"
 	"geniex/internal/linalg"
 	"geniex/internal/obs"
 	"geniex/internal/xbar"
@@ -274,15 +275,33 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 // pool, with metrics enabled and disabled (the obs instrumentation's
 // cost contract: no metric op allocates in either state).
 func TestIdealMVMIntoSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, exactConfig(8, 8), Ideal{})
+}
+
+// The GENIEx tier keeps the same contract: the per-block voltage
+// contexts are rebuilt into buffers the run pool owns, and prediction
+// scratch comes from per-tile pools. Allocation behaviour does not
+// depend on training, so an untrained surrogate serves.
+func TestGENIExMVMIntoSteadyStateAllocs(t *testing.T) {
+	cfg := exactConfig(8, 8)
+	cfg.Xbar = harshXbar()
+	gx, err := core.NewModel(cfg.Xbar, 32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSteadyStateAllocs(t, cfg, GENIEx{Model: gx})
+}
+
+func checkSteadyStateAllocs(t *testing.T, cfg Config, model Model) {
+	t.Helper()
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	for _, enabled := range []bool{true, false} {
 		prev := obs.SetEnabled(enabled)
 		for _, workers := range []int{1, 0} {
-			cfg := exactConfig(8, 8)
 			cfg.Workers = workers
-			eng, err := NewEngine(cfg, Ideal{})
+			eng, err := NewEngine(cfg, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,8 +322,8 @@ func TestIdealMVMIntoSteadyStateAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("obs=%v workers=%d: steady-state MVMInto allocates %.1f objects per call, want 0",
-					enabled, workers, allocs)
+				t.Errorf("%s obs=%v workers=%d: steady-state MVMInto allocates %.1f objects per call, want 0",
+					model.Name(), enabled, workers, allocs)
 			}
 		}
 		obs.SetEnabled(prev)

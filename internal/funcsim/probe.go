@@ -210,21 +210,13 @@ func (p *Probe) tick() bool {
 }
 
 // offer captures one sampled tile evaluation and enqueues it for
-// shadow-solving. blk is the quantized input block the tile just
-// consumed (offer picks its first active stream row); curr holds the
-// model's output currents for the same rows. It never blocks: with no
-// free job or no queue slot the sample is dropped and counted.
+// shadow-solving. blk is the compacted input block the tile just
+// consumed, holding at least one live stream (passes over all-zero
+// blocks never reach a tile); offer samples its row 0, the first live
+// stream. curr holds the model's output currents for the same rows. It
+// never blocks: with no free job or no queue slot the sample is
+// dropped and counted.
 func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, curr *linalg.Dense) {
-	row := -1
-	for i, ds := range blk.digitSum {
-		if ds != 0 {
-			row = i
-			break
-		}
-	}
-	if row < 0 {
-		return // all-zero block: nothing the circuit could disagree on
-	}
 	p.sampled.Inc()
 	mProbeSampled.Inc()
 
@@ -253,9 +245,9 @@ func (p *Probe) offer(mat, tr, tc, slice int, g *linalg.Dense, blk *inputBlock, 
 	j.mat, j.tr, j.tc, j.slice = mat, tr, tc, slice
 	j.g = g
 	j.v = growFloats(j.v, g.Rows)
-	copy(j.v, blk.vb.Row(row))
+	copy(j.v, blk.vb.Row(0))
 	j.model = growFloats(j.model, g.Cols)
-	copy(j.model, curr.Row(row))
+	copy(j.model, curr.Row(0))
 
 	select {
 	case p.jobs <- j:

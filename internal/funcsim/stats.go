@@ -12,8 +12,11 @@ import (
 // applied to one tile-slice crossbar), every ADC conversion, and every
 // digital merge operation.
 type Stats struct {
-	// CrossbarOps is the number of crossbar activations: one stream
-	// vector applied to one (tile, slice, sign) crossbar.
+	// CrossbarOps is the number of crossbar activations: one live
+	// stream vector applied to one (tile, slice, sign) crossbar. Tiles
+	// receive only live streams (at least one non-zero digit), so this
+	// also counts the tile rows evaluated, and on the circuit tiers the
+	// circuit solves.
 	CrossbarOps int64
 	// ADCConversions is the number of analog-to-digital conversions
 	// (one per active column per crossbar activation).

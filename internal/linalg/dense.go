@@ -30,6 +30,18 @@ func NewDenseFrom(rows, cols int, data []float64) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: data}
 }
 
+// Resize returns d reshaped to rows×cols, reusing its backing array
+// when capacity allows and allocating a new matrix otherwise (also
+// when d is nil). Contents are unspecified.
+func Resize(d *Dense, rows, cols int) *Dense {
+	need := rows * cols
+	if d == nil || cap(d.Data) < need {
+		return NewDense(rows, cols)
+	}
+	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:need]
+	return d
+}
+
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
