@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"geniex/internal/core"
@@ -252,12 +253,45 @@ func TestAnalyticalUnderestimates(t *testing.T) {
 	}
 }
 
-// trainTinyGENIEx fits a quick surrogate for the 8×8 tile used in
-// these tests. The training set mirrors the workloads the functional
-// simulator generates: digit-grid-aligned values with heavy sparsity
-// (the paper's stratification argument).
+// tinyGENIEx memoizes trainTinyGENIEx per design point: training is
+// deterministic and no caller mutates the model, so tests sharing a
+// design point share one fit instead of each paying for it.
+var tinyGENIEx struct {
+	mu  sync.Mutex
+	fit map[xbar.Config]*tinyFit
+}
+
+type tinyFit struct {
+	once sync.Once
+	m    *core.Model
+	err  error
+}
+
+// trainTinyGENIEx returns a quick surrogate for the tile used in these
+// tests, trained once per design point. The training set mirrors the
+// workloads the functional simulator generates: digit-grid-aligned
+// values with heavy sparsity (the paper's stratification argument).
+// Callers must treat the shared model as read-only.
 func trainTinyGENIEx(t *testing.T, cfg xbar.Config) *core.Model {
 	t.Helper()
+	tinyGENIEx.mu.Lock()
+	if tinyGENIEx.fit == nil {
+		tinyGENIEx.fit = map[xbar.Config]*tinyFit{}
+	}
+	f := tinyGENIEx.fit[cfg]
+	if f == nil {
+		f = &tinyFit{}
+		tinyGENIEx.fit[cfg] = f
+	}
+	tinyGENIEx.mu.Unlock()
+	f.once.Do(func() { f.m, f.err = fitTinyGENIEx(cfg) })
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	return f.m
+}
+
+func fitTinyGENIEx(cfg xbar.Config) (*core.Model, error) {
 	ds, err := core.Generate(cfg, core.GenOptions{
 		Samples:    1200,
 		StreamBits: 2, SliceBits: 2,
@@ -265,16 +299,16 @@ func trainTinyGENIEx(t *testing.T, cfg xbar.Config) *core.Model {
 		Seed:       5,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	m, err := core.NewModel(cfg, 128, 7)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := m.Train(ds, core.TrainOptions{Epochs: 300, BatchSize: 32, LR: 2e-3, Seed: 9}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return m
+	return m, nil
 }
 
 // harshXbar is an aggressively non-ideal design point (low Ron, low

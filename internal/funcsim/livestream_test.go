@@ -2,6 +2,8 @@ package funcsim
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -194,10 +196,25 @@ func TestTilesEvaluateOnlyLiveStreams(t *testing.T) {
 	}
 }
 
-// On the circuit tier every crossbar op is exactly one solve, and the
-// solver's Newton and CG work equals that of solving only the live
-// rows directly through an xbar.BatchSolver: no all-zero stream is
-// ever solved.
+// distinctRows counts the bit-distinct rows of v.
+func distinctRows(v *linalg.Dense) int64 {
+	seen := map[string]bool{}
+	for b := 0; b < v.Rows; b++ {
+		key := make([]byte, 0, 8*v.Cols)
+		for _, x := range v.Row(b) {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		seen[string(key)] = true
+	}
+	return int64(len(seen))
+}
+
+// On the circuit tier each tile call solves every distinct live drive
+// vector once: the solve count equals the number of distinct live rows
+// summed over every (tile, slice, weight sign) array and input block,
+// while CrossbarOps still counts every live row. The solver's Newton
+// and CG work equals that of solving only the live rows directly
+// through an xbar.BatchSolver: no all-zero stream is ever solved.
 func TestCircuitSolvesOnlyLiveStreams(t *testing.T) {
 	if raceDetectorEnabled && testing.Short() {
 		t.Skip("circuit solves under -race -short")
@@ -223,15 +240,13 @@ func TestCircuitSolvesOnlyLiveStreams(t *testing.T) {
 	}
 	after := obs.Snapshot()
 	ops := mat.Stats().CrossbarOps
-	if d := after.Counters["xbar.solver.solves"] - before.Counters["xbar.solver.solves"]; d != ops {
-		t.Errorf("xbar.solver.solves moved by %d, CrossbarOps = %d", d, ops)
-	}
+	solves := after.Counters["xbar.solver.solves"] - before.Counters["xbar.solver.solves"]
 	newton := after.Histograms["xbar.solver.newton_iters"].Sum - before.Histograms["xbar.solver.newton_iters"].Sum
 	cg := after.Histograms["xbar.solver.cg_iters"].Sum - before.Histograms["xbar.solver.cg_iters"].Sum
 
 	live := liveStreams(cfg, x, mat.In())
 	var wantNewton, wantCG float64
-	var items int64
+	var items, distinct int64
 	for tr := range mat.conds {
 		for _, cd := range mat.conds[tr] {
 			for _, gs := range [][]*linalg.Dense{cd.pos, cd.neg} {
@@ -251,13 +266,20 @@ func TestCircuitSolvesOnlyLiveStreams(t *testing.T) {
 						wantNewton += float64(rep.NewtonIters)
 						wantCG += float64(rep.CGIters)
 						items += int64(v.Rows)
+						distinct += distinctRows(v)
 					}
 				}
 			}
 		}
 	}
 	if items != ops {
-		t.Errorf("direct solves covered %d live rows, CrossbarOps = %d", items, ops)
+		t.Errorf("live rows = %d, CrossbarOps = %d", items, ops)
+	}
+	if solves != distinct {
+		t.Errorf("xbar.solver.solves moved by %d, distinct live rows per array and block = %d", solves, distinct)
+	}
+	if distinct >= items {
+		t.Errorf("workload has %d distinct of %d live rows: no repeated stream exercised", distinct, items)
 	}
 	if newton != wantNewton || cg != wantCG {
 		t.Errorf("MVM solver work newton=%v cg=%v, direct live-row solves newton=%v cg=%v",

@@ -3,6 +3,8 @@ package funcsim
 import (
 	"strings"
 	"testing"
+
+	"geniex/internal/core"
 )
 
 // The built-in ladder must resolve by name, in decreasing-rank order,
@@ -96,7 +98,12 @@ func TestModelFactorySurrogateValidation(t *testing.T) {
 		t.Fatal("geniex factory accepted a nil surrogate")
 	}
 
-	gx := trainTinyGENIEx(t, cfg.Xbar)
+	// Only the design-point check matters here, so an untrained
+	// surrogate serves.
+	gx, err := core.NewModel(cfg.Xbar, 32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrong := exactConfig(4, 4)
 	if _, err := spec.New(ModelParams{Xbar: wrong.Xbar, Surrogate: gx}); err == nil {
 		t.Fatal("geniex factory accepted an 8x8 surrogate for a 4x4 design point")

@@ -14,9 +14,11 @@ import (
 type Stats struct {
 	// CrossbarOps is the number of crossbar activations: one live
 	// stream vector applied to one (tile, slice, sign) crossbar. Tiles
-	// receive only live streams (at least one non-zero digit), so this
-	// also counts the tile rows evaluated, and on the circuit tiers the
-	// circuit solves.
+	// receive only live streams (at least one non-zero digit), so
+	// crossbar ops = live rows = tile rows evaluated. On the circuit
+	// tiers the circuit solves are fewer: each tile call solves every
+	// distinct live drive vector once and reuses the result for its
+	// repeats.
 	CrossbarOps int64
 	// ADCConversions is the number of analog-to-digital conversions
 	// (one per active column per crossbar activation).

@@ -80,7 +80,10 @@ func (t *Tridiag) SolveInto(x, b []float64) {
 // symmetric positive definite matrix.
 type Cholesky struct {
 	n int
-	l *Dense // lower triangle, including the diagonal
+	// l holds L in its lower triangle, including the diagonal, and Lᵀ
+	// mirrored into its strict upper triangle, so both substitution
+	// passes read contiguous rows.
+	l *Dense
 }
 
 // FactorCholesky factors the symmetric positive definite matrix a in
@@ -112,6 +115,11 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 			rowI[j] = s / piv
 		}
 	}
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < n; k++ {
+			a.Data[i*n+k] = a.Data[k*n+i]
+		}
+	}
 	return &Cholesky{n: n, l: a}, nil
 }
 
@@ -133,13 +141,14 @@ func (c *Cholesky) SolveInto(x, b []float64) {
 		}
 		x[i] = s / row[i]
 	}
-	// Backward: Lᵀ x = y.
+	// Backward: Lᵀ x = y, reading row i of the mirrored Lᵀ.
 	for i := c.n - 1; i >= 0; i-- {
+		row := c.l.Row(i)
 		s := x[i]
 		for k := i + 1; k < c.n; k++ {
-			s -= c.l.At(k, i) * x[k]
+			s -= row[k] * x[k]
 		}
-		x[i] = s / c.l.At(i, i)
+		x[i] = s / row[i]
 	}
 }
 

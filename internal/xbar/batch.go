@@ -3,9 +3,11 @@ package xbar
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"geniex/internal/linalg"
 	"geniex/internal/obs"
@@ -68,7 +70,8 @@ type BatchReport struct {
 	// only under PolicyBestEffort).
 	Unconverged int
 	// NewtonIters, CGIters, LUFallbacks, CGBreakdowns, DampedSteps
-	// aggregate solver work across all items, retries included.
+	// aggregate solver work across all items, retries included. An item
+	// answered from an identical item's solve adds no work of its own.
 	NewtonIters, CGIters, LUFallbacks, CGBreakdowns, DampedSteps int
 }
 
@@ -332,6 +335,12 @@ func (s *BatchSolver) SolveReport(vs *linalg.Dense) (*linalg.Dense, *BatchReport
 // point depends only on the array and its own drive vector, and each
 // item is written by index. StartWarm gives up that bit-level
 // guarantee (converged results still agree to solver tolerance).
+//
+// Each distinct drive vector is solved once per call: an item whose
+// vector is bit-identical to an earlier item's (and whose fault-plan
+// coverage matches) copies that item's output row and outcome, with
+// zero solver-work counters of its own, so BatchReport totals and the
+// xbar.solver.* counters count only the solves actually run.
 func (s *BatchSolver) SolveReportInto(out *linalg.Dense, vs *linalg.Dense) (*BatchReport, error) {
 	return s.SolveReportIntoContext(nil, out, vs)
 }
@@ -363,12 +372,19 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 		defer span.End()
 	}
 	rep := &BatchReport{Outcomes: make([]ItemOutcome, vs.Rows)}
+	// Items with identical drive vectors (and fault coverage) have
+	// identical solutions under the seeded and cold starts, so only the
+	// first of each group is solved; the rest copy its result below.
+	d := dedupPool.Get().(*dedupScratch)
+	defer dedupPool.Put(d)
+	d.group(vs, s.faults)
+	uniq := d.uniq
 	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > vs.Rows {
-		workers = vs.Rows
+	if workers > len(uniq) {
+		workers = len(uniq)
 	}
 	if workers < 1 {
 		workers = 1
@@ -380,7 +396,7 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 		if err != nil {
 			return nil, err
 		}
-		for b := 0; b < vs.Rows; b++ {
+		for _, b := range uniq {
 			if ctx != nil && ctx.Err() != nil {
 				break
 			}
@@ -393,13 +409,8 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 			wg       sync.WaitGroup
 			mu       sync.Mutex
 			setupErr error
+			next     atomic.Int64
 		)
-		next := make(chan int, vs.Rows)
-		for b := 0; b < vs.Rows; b++ {
-			next <- b
-		}
-		close(next)
-
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -414,8 +425,9 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 					return
 				}
 				defer s.release(xb)
-				for b := range next {
-					if ctx != nil && ctx.Err() != nil {
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(uniq) || (ctx != nil && ctx.Err() != nil) {
 						return
 					}
 					mu.Lock()
@@ -424,6 +436,7 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 					if dead {
 						return
 					}
+					b := uniq[i]
 					s.armFaults(xb, b)
 					rep.Outcomes[b] = solveItem(ctx, xb, vs.Row(b), out.Row(b))
 				}
@@ -439,11 +452,17 @@ func (s *BatchSolver) SolveReportIntoContext(ctx context.Context, out *linalg.De
 			return nil, fmt.Errorf("xbar: batch solve cancelled: %w", cerr)
 		}
 	}
+	for b, first := range d.first {
+		if first != b {
+			copy(out.Row(b), out.Row(first))
+			rep.Outcomes[b] = duplicateOutcome(rep.Outcomes[first])
+		}
+	}
 	for _, o := range rep.Outcomes {
 		rep.tally(o)
 	}
 	if obs.Enabled() {
-		recordBatch(rep, start)
+		recordBatch(rep, vs.Rows-len(uniq), start)
 	}
 	return rep, nil
 }
@@ -486,6 +505,21 @@ func solveItem(ctx context.Context, xb *Crossbar, v, dst []float64) ItemOutcome 
 	return outcomeFor(sol, status, 0)
 }
 
+// duplicateOutcome is the outcome of an item answered from an
+// identical item's solve: the same status and solution quality, but no
+// solver work of its own, so report totals and the xbar.solver.* obs
+// counters both equal the work actually done.
+func duplicateOutcome(o ItemOutcome) ItemOutcome {
+	return ItemOutcome{
+		Status:    o.Status,
+		Err:       o.Err,
+		Retries:   o.Retries,
+		Recovery:  o.Recovery,
+		Converged: o.Converged,
+		Residual:  o.Residual,
+	}
+}
+
 func outcomeFor(sol *Solution, status ItemStatus, retries int) ItemOutcome {
 	return ItemOutcome{
 		Status:       status,
@@ -499,4 +533,70 @@ func outcomeFor(sol *Solution, status ItemStatus, retries int) ItemOutcome {
 		CGBreakdowns: sol.CGBreakdowns,
 		DampedSteps:  sol.DampedSteps,
 	}
+}
+
+// dedupScratch groups a batch's items by drive vector. It is per-call
+// scratch, pooled so steady-state calls allocate nothing per item.
+type dedupScratch struct {
+	// first[b] is the index of the first item whose drive-vector bits
+	// and fault coverage equal item b's (b itself for a first
+	// occurrence).
+	first []int
+	// uniq lists the first occurrences in item order: the items solved.
+	uniq []int
+	// seen maps a key hash to the first item that produced it.
+	seen map[uint64]int
+}
+
+var dedupPool = sync.Pool{New: func() any { return &dedupScratch{seen: map[uint64]int{}} }}
+
+// group fills first and uniq for vs. Items a fault plan covers never
+// share a solve with uncovered ones, and every hash hit is confirmed by
+// an exact bit compare of the two rows; an item whose hash collides
+// with a different row's is simply solved on its own.
+func (d *dedupScratch) group(vs *linalg.Dense, faults *FaultPlan) {
+	if cap(d.first) < vs.Rows {
+		d.first = make([]int, vs.Rows)
+	}
+	d.first = d.first[:vs.Rows]
+	d.uniq = d.uniq[:0]
+	clear(d.seen)
+	for b := range d.first {
+		row := vs.Row(b)
+		covered := faults.covers(b)
+		h := rowHash(row, covered)
+		r, hit := d.seen[h]
+		if hit && faults.covers(r) == covered && sameBits(vs.Row(r), row) {
+			d.first[b] = r
+			continue
+		}
+		if !hit {
+			d.seen[h] = b
+		}
+		d.first[b] = b
+		d.uniq = append(d.uniq, b)
+	}
+}
+
+// rowHash mixes the bits of a drive vector and its fault coverage.
+func rowHash(v []float64, covered bool) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	if covered {
+		h = ^h
+	}
+	for _, x := range v {
+		h = (h ^ math.Float64bits(x)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// sameBits reports whether a and b are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -37,6 +37,9 @@ type opFactor struct {
 	gsel       float64   // selector zero-bias conductance (shared element)
 	gcell      []float64 // per-cell RRAM zero-bias conductance, row-major
 	gs         []float64 // per-cell series conductance, row-major
+	// Per-cell mid-node weights, row-major: gt = gsel+gcell and the
+	// shares gsel/gt and gcell/gt of the mid-node reduction.
+	gt, selShare, cellShare []float64
 
 	rowTri []*linalg.Tridiag    // word-line chain factors, one per row
 	col    *linalg.BlockTridiag // bit-line level system factor
@@ -68,17 +71,24 @@ func (x *Crossbar) buildFactor() (*opFactor, error) {
 	R, C := cfg.Rows, cfg.Cols
 	gw := 1 / cfg.Rwire
 	f := &opFactor{
-		rows:  R,
-		cols:  C,
-		gsrc:  1 / cfg.Rsource,
-		gsel:  x.sel.Conductance(0),
-		gcell: make([]float64, R*C),
-		gs:    make([]float64, R*C),
+		rows:      R,
+		cols:      C,
+		gsrc:      1 / cfg.Rsource,
+		gsel:      x.sel.Conductance(0),
+		gcell:     make([]float64, R*C),
+		gs:        make([]float64, R*C),
+		gt:        make([]float64, R*C),
+		selShare:  make([]float64, R*C),
+		cellShare: make([]float64, R*C),
 	}
 	for k, cell := range x.cell {
 		gc := cell.Conductance(0)
+		gt := f.gsel + gc
 		f.gcell[k] = gc
-		f.gs[k] = f.gsel * gc / (f.gsel + gc)
+		f.gs[k] = f.gsel * gc / gt
+		f.gt[k] = gt
+		f.selShare[k] = f.gsel / gt
+		f.cellShare[k] = gc / gt
 	}
 
 	// Word-line chains: tridiagonal over the row nodes of each row.
@@ -165,10 +175,9 @@ func (f *opFactor) solveInto(out, b []float64, ws *factorScratch) {
 	// Mid-node reduction: vm = (b_m + gsel·vr + gcell·vc)/(gsel+gcell)
 	// folds b_m into the row and column right-hand sides.
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
 		bm := b[RC+k]
-		out[k] = b[k] + f.gsel/gt*bm
-		out[2*RC+k] = b[2*RC+k] + f.gcell[k]/gt*bm
+		out[k] = b[k] + f.selShare[k]*bm
+		out[2*RC+k] = b[2*RC+k] + f.cellShare[k]*bm
 		out[RC+k] = bm
 	}
 	// Row elimination: fold A_i⁻¹·br_i into the column rhs.
@@ -192,8 +201,7 @@ func (f *opFactor) solveInto(out, b []float64, ws *factorScratch) {
 	}
 	// Recover the mid nodes.
 	for k := 0; k < RC; k++ {
-		gt := f.gsel + f.gcell[k]
-		out[RC+k] = (out[RC+k] + f.gsel*out[k] + f.gcell[k]*out[2*RC+k]) / gt
+		out[RC+k] = (out[RC+k] + f.gsel*out[k] + f.gcell[k]*out[2*RC+k]) / f.gt[k]
 	}
 }
 

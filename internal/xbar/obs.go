@@ -48,6 +48,7 @@ var (
 
 	mBatchCalls   = obs.NewCounter("xbar.batch.calls")
 	mBatchItems   = obs.NewCounter("xbar.batch.items")
+	mBatchDedup   = obs.NewCounter("xbar.batch.dedup_items")
 	mBatchRetried = obs.NewCounter("xbar.batch.retried")
 	mBatchFailed  = obs.NewCounter("xbar.batch.failed")
 	mBatchLatency = obs.NewHistogram("xbar.batch.latency_seconds", obs.LatencyBuckets)
@@ -96,10 +97,12 @@ func recordSolve(sol *Solution, err error, start time.Time) {
 	}
 }
 
-// recordBatch folds one BatchSolver call into the registry.
-func recordBatch(rep *BatchReport, start time.Time) {
+// recordBatch folds one BatchSolver call into the registry; dedup is
+// the number of items answered from an identical item's solve.
+func recordBatch(rep *BatchReport, dedup int, start time.Time) {
 	mBatchCalls.Inc()
 	mBatchItems.Add(int64(len(rep.Outcomes)))
+	mBatchDedup.Add(int64(dedup))
 	mBatchRetried.Add(int64(rep.Retried))
 	mBatchFailed.Add(int64(rep.Failed))
 	mBatchLatency.ObserveSince(start)
