@@ -10,7 +10,7 @@ GO ?= go
 # instrumentation.
 RACE_PKGS = ./internal/xbar ./internal/funcsim ./internal/hwtrain ./internal/linalg ./internal/obs ./internal/serve
 
-.PHONY: check fmt vet build test race bench bench-smoke obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
+.PHONY: check fmt vet build test race loc bench bench-smoke obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke tier-registry-gate obs-catalog-gate
 
 check: fmt vet build test race obs-smoke trace-smoke serve-smoke sweep-smoke calib-smoke load-smoke bench-smoke tier-registry-gate obs-catalog-gate
 
@@ -30,6 +30,14 @@ test:
 
 race:
 	$(GO) test -race -short $(RACE_PKGS)
+
+# Non-test Go line counts per package under internal/, plus the total:
+# the size gauge for the deletion pass (ROADMAP open item 4).
+loc:
+	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%7d total\n' $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 # MVM pipeline benchmarks: serial vs parallel wall-clock, the
 # allocs/op contract (ideal steady state must report 0 allocs/op), and

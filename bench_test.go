@@ -193,12 +193,12 @@ func mvmBench(b *testing.B, cfg funcsim.Config, model funcsim.Model, in, out, ba
 
 func runMVM(b *testing.B, mat *funcsim.Matrix, dst, x *linalg.Dense) {
 	b.Helper()
-	if err := mat.MVMInto(dst, x); err != nil {
+	if err := mat.MVMInto(nil, dst, x); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := mat.MVMInto(dst, x); err != nil {
+		if err := mat.MVMInto(nil, dst, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func BenchmarkMVMCircuit(b *testing.B) {
 		cfg := serialCfg()
 		cfg.Xbar.Start = xbar.StartCold
 		mat, x, ref := mvmBench(b, cfg, funcsim.Circuit{Cfg: cfg.Xbar}, in, out, batch)
-		if err := mat.MVMInto(ref, x); err != nil {
+		if err := mat.MVMInto(nil, ref, x); err != nil {
 			b.Fatal(err)
 		}
 		return ref, x
@@ -356,7 +356,7 @@ func BenchmarkMVMCircuit(b *testing.B) {
 			cfg := serialCfg()
 			cfg.Xbar.Start = sc.start
 			mat, x, dst := mvmBench(b, cfg, sc.model(cfg.Xbar), in, out, batch)
-			if err := mat.MVMInto(dst, x); err != nil {
+			if err := mat.MVMInto(nil, dst, x); err != nil {
 				b.Fatal(err)
 			}
 			if r := rrmse(dst, ref); r > 1e-6 {

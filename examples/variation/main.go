@@ -94,12 +94,12 @@ func main() {
 		v.Data[i] = cfg.Vsupply * rng.Float64()
 	}
 	idealOut := linalg.MatMul(v, actual) // calibration targets the array as programmed
-	rawOut, err := rawTile.Currents(v)
-	if err != nil {
+	rawOut := linalg.NewDense(v.Rows, cfg.Cols)
+	if err := rawTile.CurrentsInto(nil, rawOut, v, nil); err != nil {
 		log.Fatal(err)
 	}
-	calOut, err := calTile.Currents(v)
-	if err != nil {
+	calOut := linalg.NewDense(v.Rows, cfg.Cols)
+	if err := calTile.CurrentsInto(nil, calOut, v, nil); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("per-column gain calibration (distortion of the programmed array):\n")

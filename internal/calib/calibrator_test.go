@@ -264,7 +264,7 @@ func TestCalibratorPublishesIntoEngine(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 2*rng.Float64() - 1
 	}
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -290,7 +290,7 @@ func TestCalibratorPublishesIntoEngine(t *testing.T) {
 	if v := eng.ModelVersion(); v != 2 || r.Version != 2 {
 		t.Fatalf("engine version %d, round version %d, want 2", v, r.Version)
 	}
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatalf("MVM after hot-swap: %v", err)
 	}
 }

@@ -65,8 +65,8 @@ func (c Calibrated) NewTile(g *linalg.Dense) (Tile, error) {
 			}
 		}
 	}
-	non, err := inner.Currents(v)
-	if err != nil {
+	non := linalg.NewDense(samples, g.Cols)
+	if err := inner.CurrentsInto(nil, non, v, nil); err != nil {
 		return nil, fmt.Errorf("funcsim: calibration solve: %w", err)
 	}
 	ideal := linalg.MatMul(v, g)
@@ -91,36 +91,12 @@ type calibratedTile struct {
 	gain  []float64
 }
 
-// Currents implements Tile: inner currents with per-column gains
+// CurrentsInto implements Tile: inner currents with per-column gains
 // applied (the digital-domain correction, modeled in the current
-// domain before the ADC back-conversion).
-func (t *calibratedTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	curr, err := t.inner.Currents(v)
-	if err != nil {
-		return nil, err
-	}
-	t.apply(curr)
-	return curr, nil
-}
-
-// CurrentsInto implements the allocation-free fast path when the inner
-// tile supports it.
-func (t *calibratedTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *calibratedTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc); err != nil {
-		return err
-	}
-	t.apply(dst)
-	return nil
-}
-
-// CurrentsCtxInto implements ctxTile by forwarding the context to the
-// wrapped tile, so a decorated circuit tile stays cancellable.
-func (t *calibratedTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil); err != nil {
+// domain before the ADC back-conversion). ctx and vc are forwarded to
+// the wrapped tile.
+func (t *calibratedTile) CurrentsInto(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
+	if err := t.inner.CurrentsInto(ctx, dst, v, vc); err != nil {
 		return err
 	}
 	t.apply(dst)

@@ -31,7 +31,7 @@ func TestCalibrationOfIdealIsIdentity(t *testing.T) {
 	for i := range v.Data {
 		v.Data[i] = cfg.Vsupply * r.Float64()
 	}
-	got, err := tile.Currents(v)
+	got, err := currents(tile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestCalibrationReducesDistortion(t *testing.T) {
 		v.Data[i] = cfg.Vsupply * r.Float64()
 	}
 	ideal := linalg.MatMul(v, g)
-	rawOut, err := raw.Currents(v)
+	rawOut, err := currents(raw, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calOut, err := cal.Currents(v)
+	calOut, err := currents(cal, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -571,7 +571,7 @@ type mvmTask struct {
 type mvmRun struct {
 	m      *Matrix
 	ts     *tileSet        // the model version pinned for this run
-	ctx    context.Context // nil unless the MVM came in via MVMIntoContext
+	ctx    context.Context // the caller's MVMInto context; nil is never cancelled
 	x      *linalg.Dense
 	batch  int
 	accOut []int64
@@ -735,7 +735,7 @@ func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linal
 	ops := int64(len(blk.live))
 	t.curr = linalg.Resize(t.curr, len(blk.live), mcols)
 	for l, tile := range tiles {
-		if err := currentsInto(ctx, tile, t.curr, blk.vb, blk.vctx); err != nil {
+		if err := tile.CurrentsInto(ctx, t.curr, blk.vb, blk.vctx); err != nil {
 			return fmt.Errorf("funcsim: tile (%d,%d) slice %d: %w", t.tr, t.tc, l, err)
 		}
 		if t.probeArm && gs != nil {
@@ -761,20 +761,13 @@ func (r *mvmRun) pass(ctx context.Context, t *mvmTask, tiles []Tile, gs []*linal
 }
 
 // MVM executes y = x·W through the crossbar pipeline for a batch of
-// real-valued inputs (batch×in). The result is batch×out in real
-// units (already dequantized from the accumulator). Use MVMInto with a
-// caller-owned output to avoid the result allocation.
-func (m *Matrix) MVM(x *linalg.Dense) (*linalg.Dense, error) {
-	return m.MVMContext(nil, x)
-}
-
-// MVMContext is MVM with cooperative cancellation: once ctx is done,
-// pending tile tasks are abandoned before they start and in-flight
-// circuit solves abort at their next Newton update. A nil ctx is
-// identical to MVM.
-func (m *Matrix) MVMContext(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
+// real-valued inputs (batch×in) and returns the batch×out result in
+// real units (already dequantized from the accumulator). It is MVMInto
+// into a freshly allocated output; use MVMInto with a caller-owned
+// output to avoid the allocation.
+func (m *Matrix) MVM(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
 	out := linalg.NewDense(x.Rows, m.out)
-	if err := m.MVMIntoContext(ctx, out, x); err != nil {
+	if err := m.MVMInto(ctx, out, x); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -786,14 +779,13 @@ func (m *Matrix) MVMContext(ctx context.Context, x *linalg.Dense) (*linalg.Dense
 // the result is bit-identical to a fully serial execution at any
 // worker count. Steady-state calls allocate nothing: all scratch comes
 // from the matrix's run pool.
-func (m *Matrix) MVMInto(dst, x *linalg.Dense) error {
-	return m.MVMIntoContext(nil, dst, x)
-}
-
-// MVMIntoContext is MVMInto with cooperative cancellation (see
-// MVMContext). On cancellation it returns an error wrapping ctx.Err()
-// and dst holds unspecified contents.
-func (m *Matrix) MVMIntoContext(ctx context.Context, dst, x *linalg.Dense) error {
+//
+// ctx gives cooperative cancellation: once it is done, pending tile
+// tasks are abandoned before they start, in-flight circuit solves
+// abort at their next Newton update, and the returned error wraps
+// ctx.Err() (dst then holds unspecified contents). A nil ctx is never
+// cancelled and costs nothing: no cancellation checks, no spans.
+func (m *Matrix) MVMInto(ctx context.Context, dst, x *linalg.Dense) error {
 	if x.Cols != m.in {
 		return fmt.Errorf("funcsim: MVM input has %d features, matrix expects %d", x.Cols, m.in)
 	}

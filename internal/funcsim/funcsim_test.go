@@ -12,6 +12,17 @@ import (
 	"geniex/internal/xbar"
 )
 
+// currents is the allocating test form of Tile.CurrentsInto: it
+// evaluates tile on v into a fresh batch×cols result, uncancellable
+// and without a shared voltage context.
+func currents(tile Tile, v *linalg.Dense, cols int) (*linalg.Dense, error) {
+	out := linalg.NewDense(v.Rows, cols)
+	if err := tile.CurrentsInto(nil, out, v, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // exactConfig is a configuration under which the ideal-model pipeline
 // must be bit-exact with the integer dot product: a huge ADC and an
 // accumulator wide enough to never saturate, with the accumulator
@@ -73,7 +84,7 @@ func TestIdealPipelineBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := lm.MVM(x)
+			got, err := lm.MVM(nil, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +131,7 @@ func TestMVMShapeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lm.MVM(linalg.NewDense(2, 9)); err == nil {
+	if _, err := lm.MVM(nil, linalg.NewDense(2, 9)); err == nil {
 		t.Error("expected shape error")
 	}
 }
@@ -161,7 +172,7 @@ func TestAccumulatorSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lm.MVM(x)
+	got, err := lm.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +199,7 @@ func TestADCQuantizationEffect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lm.MVM(x)
+		got, err := lm.MVM(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +239,7 @@ func TestAnalyticalUnderestimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := lm.MVM(x)
+		out, err := lm.MVM(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +356,7 @@ func TestGENIExTileTracksCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := circTile.Currents(v)
+	truth, err := currents(circTile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +364,7 @@ func TestGENIExTileTracksCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := gxTile.Currents(v)
+	pred, err := currents(gxTile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +372,7 @@ func TestGENIExTileTracksCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := idTile.Currents(v)
+	ideal, err := currents(idTile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +601,7 @@ func TestIdealPipelineNonSquareTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lm.MVM(x)
+	got, err := lm.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +631,7 @@ func TestAllNegativeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lm.MVM(x)
+	got, err := lm.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"geniex/internal/linalg"
 	"geniex/internal/obs"
+	"geniex/internal/xbar"
 )
 
 // Engine.Close must be idempotent: double-Close on a probe-carrying
@@ -62,7 +63,7 @@ func TestEngineCloseRacesInflightMVM(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < rounds; i++ {
-				if _, err := mat.MVM(x); err != nil {
+				if _, err := mat.MVM(nil, x); err != nil {
 					errs <- err
 					return
 				}
@@ -102,7 +103,7 @@ func TestMVMContextCancelledStopsCircuitSolves(t *testing.T) {
 
 	// Uncancelled baseline: circuit solves advance the counter.
 	before := solves.Load()
-	if _, err := mat.MVMContext(context.Background(), x); err != nil {
+	if _, err := mat.MVM(context.Background(), x); err != nil {
 		t.Fatal(err)
 	}
 	if solves.Load() == before {
@@ -113,7 +114,7 @@ func TestMVMContextCancelledStopsCircuitSolves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before = solves.Load()
-	_, err = mat.MVMContext(ctx, x)
+	_, err = mat.MVM(ctx, x)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
@@ -124,8 +125,59 @@ func TestMVMContextCancelledStopsCircuitSolves(t *testing.T) {
 
 	// Matrix still works after a cancelled call (pooled run state must
 	// not leak the dead context).
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatalf("MVM after cancelled MVM failed: %v", err)
+	}
+}
+
+// The decorators must forward the caller's context to the tile they
+// wrap: an already-cancelled CurrentsInto on a calibrated or noisy
+// circuit tile must return context.Canceled without running a solve.
+func TestDecoratedCircuitTileHonoursCancellation(t *testing.T) {
+	cfg := xbar.DefaultConfig()
+	cfg.Rows, cfg.Cols = 8, 8
+	cfg.BatchWorkers = 1
+	r := linalg.NewRNG(83)
+	g := linalg.NewDense(cfg.Rows, cfg.Cols)
+	for i := range g.Data {
+		g.Data[i] = cfg.ConductanceFromLevel(r.Float64())
+	}
+	v := linalg.NewDense(3, cfg.Rows)
+	for i := range v.Data {
+		v.Data[i] = cfg.Vsupply * r.Float64()
+	}
+
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	solves := obs.NewCounter("xbar.solver.solves")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, m := range []Model{
+		Calibrated{Inner: Circuit{Cfg: cfg}, Samples: 4, Seed: 1, Xbar: cfg},
+		&Noisy{Inner: Circuit{Cfg: cfg}, Sigma: 0.01, FullScale: noiseFullScale(cfg), Seed: 1},
+	} {
+		tile, err := m.NewTile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := linalg.NewDense(v.Rows, cfg.Cols)
+		before := solves.Load()
+		if err := tile.CurrentsInto(nil, dst, v, nil); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		if solves.Load() == before {
+			t.Fatalf("%s: tile advanced no solve counters; test is not exercising the solver", m.Name())
+		}
+
+		before = solves.Load()
+		err = tile.CurrentsInto(ctx, dst, v, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v does not wrap context.Canceled", m.Name(), err)
+		}
+		if d := solves.Load() - before; d != 0 {
+			t.Errorf("%s: solve counter advanced by %d after cancellation", m.Name(), d)
+		}
 	}
 }
 
@@ -144,7 +196,7 @@ func TestMVMContextDeadlineExceeded(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := mat.MVMContext(ctx, x); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := mat.MVM(ctx, x); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
 	}
 }

@@ -15,8 +15,7 @@ import (
 )
 
 // countingModel wraps an analog model and counts the drive-vector rows
-// its tiles evaluate, through whichever tile interface the pipeline
-// picks (the surrogate, cancellable, into-buffer or plain path).
+// its tiles evaluate.
 type countingModel struct {
 	inner Model
 	rows  *atomic.Int64
@@ -39,24 +38,9 @@ type countingTile struct {
 	rows  *atomic.Int64
 }
 
-func (t countingTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
+func (t countingTile) CurrentsInto(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
 	t.rows.Add(int64(v.Rows))
-	return t.inner.Currents(v)
-}
-
-func (t countingTile) CurrentsInto(dst, v *linalg.Dense) error {
-	t.rows.Add(int64(v.Rows))
-	return currentsInto(nil, t.inner, dst, v, nil)
-}
-
-func (t countingTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	t.rows.Add(int64(v.Rows))
-	return currentsInto(ctx, t.inner, dst, v, nil)
-}
-
-func (t countingTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	t.rows.Add(int64(v.Rows))
-	return currentsInto(nil, t.inner, dst, v, vc)
+	return t.inner.CurrentsInto(ctx, dst, v, vc)
 }
 
 // liveStreamWorkload is a 3×2 tile grid (8×8 tiles) whose input tile
@@ -178,7 +162,7 @@ func TestTilesEvaluateOnlyLiveStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mat.MVM(x); err != nil {
+		if _, err := mat.MVM(nil, x); err != nil {
 			t.Fatalf("%s: %v", c.model.Name(), err)
 		}
 		s := mat.Stats()
@@ -235,7 +219,7 @@ func TestCircuitSolvesOnlyLiveStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.Snapshot()
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Snapshot()

@@ -6,8 +6,9 @@
 // and weight slices) with ADC quantization and shift-and-add merging.
 //
 // The analog behaviour of each crossbar is pluggable through the Model
-// interface; the package ships four implementations matching the
-// paper's simulation modes:
+// interface, whose tiles share one contract, Tile.CurrentsInto; the
+// package ships four implementations matching the paper's simulation
+// modes:
 //
 //   - Ideal: exact analog MVM (the "Ideal FxP" baseline),
 //   - Analytical: linear parasitic distortion via a precomputed
@@ -15,6 +16,10 @@
 //   - GENIEx: the trained neural surrogate from package core,
 //   - Circuit: the full non-linear solver (HSPICE stand-in; slow,
 //     used for validation).
+//
+// Calibrated and Noisy decorate any of them. Matrix.MVMInto is the one
+// MVM entry (Matrix.MVM its allocating form); both take a context that
+// may be nil.
 package funcsim
 
 import (
@@ -41,37 +46,17 @@ type Model interface {
 
 // Tile computes analog output currents for batches of drive voltages.
 // The MVM pipeline invokes tiles from multiple worker goroutines, so
-// implementations must be safe for concurrent Currents calls.
+// implementations must be safe for concurrent calls.
 type Tile interface {
-	// Currents maps a batch of voltage vectors (batch×Rows, volts) to
-	// output currents (batch×Cols, amperes).
-	Currents(v *linalg.Dense) (*linalg.Dense, error)
-}
-
-// intoTile is the allocation-free fast path: tiles that implement it
-// compute into a caller-owned buffer instead of allocating the result.
-// Every in-package tile implements it; the MVM pipeline prefers it and
-// falls back to Currents plus a copy for external implementations.
-type intoTile interface {
-	CurrentsInto(dst, v *linalg.Dense) error
-}
-
-// ctxTile is the cancellation-aware fast path: tiles whose evaluation
-// is expensive enough to be worth stopping mid-flight (the circuit
-// model's batch solves) implement it, and the MVM pipeline prefers it
-// whenever the caller supplied a context. Cheap tiles (ideal,
-// analytical, GENIEx) finish faster than a cancellation check is
-// worth; they fall through to the uncancellable paths.
-type ctxTile interface {
-	CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error
-}
-
-// surrogateTile is implemented by tiles whose analog evaluation runs
-// through the GENIEx neural surrogate. The engine hands them the
-// per-input-block VContext so the dominant first-layer voltage matmul
-// is computed once per block instead of once per (tile, slice, sign).
-type surrogateTile interface {
-	currentsVC(dst, v *linalg.Dense, vc *core.VContext) error
+	// CurrentsInto maps voltage vectors v (batch×Rows, volts) to output
+	// currents in the caller-owned dst (batch×Cols, amperes). A nil ctx
+	// is never cancelled; only tiles expensive enough to stop
+	// mid-flight (circuit batch solves) check it. A non-nil vc is the
+	// GENIEx voltage context of v, built by the engine once per input
+	// block so the surrogate's first-layer voltage matmul is shared
+	// across (tile, slice, sign); tiles without a surrogate ignore it.
+	// Decorators forward ctx and vc to the tile they wrap.
+	CurrentsInto(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error
 }
 
 // surrogateModel exposes the core surrogate at the bottom of a model
@@ -90,36 +75,6 @@ func surrogateOf(m Model) *core.Model {
 	return nil
 }
 
-// currentsInto evaluates tile into dst through the fastest interface
-// it implements: the shared-VContext surrogate path, the cancellable
-// path (when ctx is non-nil), the caller-owned-buffer path, or plain
-// Currents plus a copy.
-func currentsInto(ctx context.Context, tile Tile, dst, v *linalg.Dense, vc *core.VContext) error {
-	if vc != nil {
-		if st, ok := tile.(surrogateTile); ok {
-			return st.currentsVC(dst, v, vc)
-		}
-	}
-	if ctx != nil {
-		if ct, ok := tile.(ctxTile); ok {
-			return ct.CurrentsCtxInto(ctx, dst, v)
-		}
-	}
-	if it, ok := tile.(intoTile); ok {
-		return it.CurrentsInto(dst, v)
-	}
-	out, err := tile.Currents(v)
-	if err != nil {
-		return err
-	}
-	if out.Rows != dst.Rows || out.Cols != dst.Cols {
-		return fmt.Errorf("funcsim: tile returned %dx%d currents, expected %dx%d",
-			out.Rows, out.Cols, dst.Rows, dst.Cols)
-	}
-	copy(dst.Data, out.Data)
-	return nil
-}
-
 // Ideal is the error-free analog model.
 type Ideal struct{}
 
@@ -133,14 +88,10 @@ func (Ideal) NewTile(g *linalg.Dense) (Tile, error) {
 
 type idealTile struct{ g *linalg.Dense }
 
-func (t idealTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	return linalg.MatMul(v, t.g), nil
-}
-
 // CurrentsInto stays on the calling goroutine: the pipeline already
 // runs one tile task per worker, so nested fan-out would only add
 // scheduling overhead and allocations.
-func (t idealTile) CurrentsInto(dst, v *linalg.Dense) error {
+func (t idealTile) CurrentsInto(_ context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	linalg.MatMulSerialInto(dst, v, t.g)
 	return nil
 }
@@ -165,11 +116,7 @@ func (m Analytical) NewTile(g *linalg.Dense) (Tile, error) {
 
 type analyticalTile struct{ at *linalg.Dense }
 
-func (t analyticalTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	return linalg.MatMul(v, t.at), nil
-}
-
-func (t analyticalTile) CurrentsInto(dst, v *linalg.Dense) error {
+func (t analyticalTile) CurrentsInto(_ context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	linalg.MatMulSerialInto(dst, v, t.at)
 	return nil
 }
@@ -227,19 +174,7 @@ func (t *geniexTile) putScratch(s *gxScratch) {
 	t.mu.Unlock()
 }
 
-func (t *geniexTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	out := linalg.NewDense(v.Rows, t.g.Cols)
-	if err := t.currentsVC(out, v, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (t *geniexTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *geniexTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
+func (t *geniexTile) CurrentsInto(_ context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
 	if vc == nil {
 		vc = t.m.NewVContext(v)
 	}
@@ -360,13 +295,13 @@ func (Circuit) Name() string { return "circuit" }
 // NewTile implements Model. The returned tile keeps a persistent pool
 // of programmed Crossbar instances (an xbar.BatchSolver), so the
 // netlist-assembly and conductance-programming cost is paid once per
-// tile lifetime instead of once per worker per Currents call.
+// tile lifetime instead of once per worker per CurrentsInto call.
 func (m Circuit) NewTile(g *linalg.Dense) (Tile, error) {
 	solver, err := xbar.NewBatchSolver(m.Cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	return circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
+	return circuitTile{solver: solver, degraded: m.Degraded, health: m.Health}, nil
 }
 
 // FastCircuit is the circuit model with the solver's warm-start tier
@@ -410,32 +345,19 @@ func (m FastCircuit) NewTile(g *linalg.Dense) (Tile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return circuitTile{solver: solver, cols: g.Cols, degraded: m.Degraded, health: m.Health}, nil
+	return circuitTile{solver: solver, degraded: m.Degraded, health: m.Health}, nil
 }
 
 type circuitTile struct {
 	solver   *xbar.BatchSolver
-	cols     int
 	degraded bool
 	health   *SolverHealth
 }
 
-func (t circuitTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	out := linalg.NewDense(v.Rows, t.cols)
-	if err := t.CurrentsInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (t circuitTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.CurrentsCtxInto(nil, dst, v)
-}
-
-// CurrentsCtxInto implements ctxTile: the batch solve aborts at the
-// next Newton update once ctx is done, so a revoked serving deadline
-// stops circuit work instead of letting it run to completion.
-func (t circuitTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
+// CurrentsInto aborts the batch solve at the next Newton update once
+// ctx is done, so a revoked serving deadline stops circuit work instead
+// of letting it run to completion.
+func (t circuitTile) CurrentsInto(ctx context.Context, dst, v *linalg.Dense, _ *core.VContext) error {
 	rep, err := t.solver.SolveReportIntoContext(ctx, dst, v)
 	if err != nil {
 		return err

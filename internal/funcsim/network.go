@@ -187,7 +187,7 @@ func (s *Sim) Forward(x *linalg.Dense) (*linalg.Dense, error) {
 
 // ForwardContext is Forward with cooperative cancellation and trace
 // propagation: the context is checked between layers and threaded down
-// through MVMIntoContext into the circuit batch solver, so a revoked
+// through Matrix.MVMInto into the circuit batch solver, so a revoked
 // deadline stops analog work mid-solve rather than after the pass
 // completes, and a TraceContext on ctx (injected by a request edge
 // such as serve.Server) parents the whole pass under the caller's
@@ -247,7 +247,7 @@ type simConv struct {
 func (c *simConv) forward(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
 	batch := x.Rows
 	cols := nn.Im2Col(x, c.geom) // (b·oh·ow)×patch
-	prod, err := c.mat.MVMContext(ctx, cols)
+	prod, err := c.mat.MVM(ctx, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ type simLinear struct {
 }
 
 func (l *simLinear) forward(ctx context.Context, x *linalg.Dense) (*linalg.Dense, error) {
-	y, err := l.mat.MVMContext(ctx, x)
+	y, err := l.mat.MVM(ctx, x)
 	if err != nil {
 		return nil, err
 	}

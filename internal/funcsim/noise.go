@@ -81,34 +81,11 @@ type noisyTile struct {
 	rng *linalg.RNG
 }
 
-// Currents implements Tile.
-func (t *noisyTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	curr, err := t.inner.Currents(v)
-	if err != nil {
-		return nil, err
-	}
-	t.perturb(curr)
-	return curr, nil
-}
-
-// CurrentsInto implements the allocation-free fast path when the inner
-// tile supports it.
-func (t *noisyTile) CurrentsInto(dst, v *linalg.Dense) error {
-	return t.currentsVC(dst, v, nil)
-}
-
-func (t *noisyTile) currentsVC(dst, v *linalg.Dense, vc *core.VContext) error {
-	if err := currentsInto(nil, t.inner, dst, v, vc); err != nil {
-		return err
-	}
-	t.perturb(dst)
-	return nil
-}
-
-// CurrentsCtxInto implements ctxTile by forwarding the context to the
-// wrapped tile, so a decorated circuit tile stays cancellable.
-func (t *noisyTile) CurrentsCtxInto(ctx context.Context, dst, v *linalg.Dense) error {
-	if err := currentsInto(ctx, t.inner, dst, v, nil); err != nil {
+// CurrentsInto implements Tile: it forwards ctx and vc to the wrapped
+// tile, so a decorated circuit tile stays cancellable and a decorated
+// GENIEx tile keeps the shared voltage context, then adds the noise.
+func (t *noisyTile) CurrentsInto(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
+	if err := t.inner.CurrentsInto(ctx, dst, v, vc); err != nil {
 		return err
 	}
 	t.perturb(dst)

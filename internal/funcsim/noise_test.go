@@ -29,7 +29,7 @@ func TestNoisyZeroSigmaIsTransparent(t *testing.T) {
 	for i := range v.Data {
 		v.Data[i] = cfg.Vsupply * r.Float64()
 	}
-	got, err := tile.Currents(v)
+	got, err := currents(tile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestNoisyPerturbationStatistics(t *testing.T) {
 	for i := range v.Data {
 		v.Data[i] = cfg.Vsupply * (0.5 + 0.5*r.Float64())
 	}
-	got, err := tile.Currents(v)
+	got, err := currents(tile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestNoisyDeterministicAcrossRuns(t *testing.T) {
 		for i := range v.Data {
 			v.Data[i] = cfg.Vsupply * r.Float64()
 		}
-		out, err := tile.Currents(v)
+		out, err := currents(tile, v, g.Cols)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestMatrixResetStatsSwapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	before := mat.Stats()
@@ -108,7 +108,7 @@ func TestMVMRecordsObsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := mat.MVM(x); err != nil {
+		if _, err := mat.MVM(nil, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestEndToEndRunPopulatesSolverAndTileMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 

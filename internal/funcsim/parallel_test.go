@@ -42,7 +42,7 @@ func mvmAt(t *testing.T, cfg Config, model Model, w, x *linalg.Dense, procs, wor
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := mat.MVM(x)
+	y, err := mat.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestConcurrentMVMStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mat.MVM(x)
+	ref, err := mat.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestConcurrentMVMStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				y, err := mat.MVM(x)
+				y, err := mat.MVM(nil, x)
 				if err != nil {
 					errs <- err
 					return
@@ -236,7 +236,8 @@ func TestConcurrentMVMStats(t *testing.T) {
 }
 
 // The GENIEx fast path (per-block VContext + pooled workspaces) must
-// reproduce the plain per-tile Currents path bit for bit.
+// reproduce the per-tile path without a shared context bit for bit,
+// also through the decorators, which forward vc to the tile they wrap.
 func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	cfg := exactConfig(8, 8)
 	cfg.Xbar = harshXbar()
@@ -246,26 +247,31 @@ func TestGENIExSharedVContextMatchesDirect(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = cfg.Xbar.Goff() + r.Float64()*(cfg.Xbar.Gon()-cfg.Xbar.Goff())
 	}
-	tile, err := GENIEx{Model: gx}.NewTile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v := linalg.NewDense(6, 8)
 	for i := range v.Data {
 		v.Data[i] = cfg.Xbar.Vsupply * r.Float64()
 	}
-	direct, err := tile.Currents(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := tile.(surrogateTile)
-	fast := linalg.NewDense(6, 8)
-	if err := st.currentsVC(fast, v, gx.NewVContext(v)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct.Data {
-		if fast.Data[i] != direct.Data[i] {
-			t.Fatalf("fast path output[%d] = %v, direct = %v", i, fast.Data[i], direct.Data[i])
+	for _, m := range []Model{
+		GENIEx{Model: gx},
+		Calibrated{Inner: GENIEx{Model: gx}, Seed: 3, Xbar: cfg.Xbar},
+		&Noisy{Inner: GENIEx{Model: gx}, Sigma: 0, FullScale: noiseFullScale(cfg.Xbar), Seed: 1},
+	} {
+		tile, err := m.NewTile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := linalg.NewDense(6, 8)
+		if err := tile.CurrentsInto(nil, direct, v, nil); err != nil {
+			t.Fatal(err)
+		}
+		fast := linalg.NewDense(6, 8)
+		if err := tile.CurrentsInto(nil, fast, v, gx.NewVContext(v)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range direct.Data {
+			if fast.Data[i] != direct.Data[i] {
+				t.Fatalf("%s: fast path output[%d] = %v, direct = %v", m.Name(), i, fast.Data[i], direct.Data[i])
+			}
 		}
 	}
 }
@@ -312,12 +318,12 @@ func checkSteadyStateAllocs(t *testing.T, cfg Config, model Model) {
 			}
 			dst := linalg.NewDense(x.Rows, mat.Out())
 			for i := 0; i < 5; i++ { // warm the run pool and the worker pool
-				if err := mat.MVMInto(dst, x); err != nil {
+				if err := mat.MVMInto(nil, dst, x); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := mat.MVMInto(dst, x); err != nil {
+				if err := mat.MVMInto(nil, dst, x); err != nil {
 					t.Fatal(err)
 				}
 			})

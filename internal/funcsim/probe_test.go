@@ -34,7 +34,7 @@ func probedEngine(t *testing.T, rate int) (*Engine, *Matrix, *linalg.Dense) {
 func TestProbeSamplesAndSolves(t *testing.T) {
 	eng, mat, x := probedEngine(t, 1)
 	for i := 0; i < 4; i++ {
-		if _, err := mat.MVM(x); err != nil {
+		if _, err := mat.MVM(nil, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,14 +89,14 @@ func TestProbeDropsNeverBlocks(t *testing.T) {
 	p.setSolveHook(func(*probeJob) { <-release })
 	defer close(release)
 
-	ref, err := mat.MVM(x)
+	ref, err := mat.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Saturate the queue: each MVM samples 6 tile tasks at rate 1; run
 	// enough to exhaust queue+freelist many times over.
 	for i := 0; i < 30; i++ {
-		y, err := mat.MVM(x)
+		y, err := mat.MVM(nil, x)
 		if err != nil {
 			t.Fatalf("MVM %d under stalled probe: %v", i, err)
 		}
@@ -130,12 +130,12 @@ func TestProbedMVMIntoSteadyStateAllocs(t *testing.T) {
 
 	dst := linalg.NewDense(x.Rows, mat.Out())
 	for i := 0; i < 12; i++ { // warm pools and exhaust the probe freelist
-		if err := mat.MVMInto(dst, x); err != nil {
+		if err := mat.MVMInto(nil, dst, x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := mat.MVMInto(dst, x); err != nil {
+		if err := mat.MVMInto(nil, dst, x); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -153,7 +153,7 @@ func TestProbeSetBaseline(t *testing.T) {
 	p := eng.Probe()
 	p.SetBaseline(0.01)
 	for i := 0; i < 2; i++ {
-		if _, err := mat.MVM(x); err != nil {
+		if _, err := mat.MVM(nil, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestProbePublishesMetrics(t *testing.T) {
 	before := obs.Default().Snapshot()
 	eng, mat, x := probedEngine(t, 1)
 	for i := 0; i < 2; i++ {
-		if _, err := mat.MVM(x); err != nil {
+		if _, err := mat.MVM(nil, x); err != nil {
 			t.Fatal(err)
 		}
 	}

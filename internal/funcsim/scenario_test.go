@@ -142,7 +142,7 @@ func TestScenarioMVMDeterministicAndPerturbing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := lm.MVM(x)
+		out, err := lm.MVM(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestCircuitTileSurfacesSolverFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tile.Currents(v)
+	_, err = currents(tile, v, g.Cols)
 	if err == nil {
 		t.Fatal("expected the failed batch item to fail the MVM")
 	}
@@ -58,7 +58,7 @@ func TestCircuitTileDegradedModeContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tile.Currents(v)
+	out, err := currents(tile, v, g.Cols)
 	if err != nil {
 		t.Fatalf("degraded tile failed: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestCircuitTileDegradedModeContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanTile.Currents(v)
+	clean, err := currents(cleanTile, v, g.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestEngineSurfacesSolverFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.MVM(randMatrix(r, 2, 8, 4))
+	_, err = m.MVM(nil, randMatrix(r, 2, 8, 4))
 	if err == nil {
 		t.Fatal("expected the engine MVM to surface the solver failure")
 	}
@@ -134,7 +134,7 @@ func TestEngineDegradedModeCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.MVM(randMatrix(r, 2, 8, 4))
+	out, err := m.MVM(nil, randMatrix(r, 2, 8, 4))
 	if err != nil {
 		t.Fatalf("degraded engine MVM failed: %v", err)
 	}

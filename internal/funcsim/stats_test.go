@@ -19,7 +19,7 @@ func TestStatsCountersAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randMatrix(r, 4, 8, 2)
-	if _, err := lm.MVM(x); err != nil {
+	if _, err := lm.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	s := lm.Stats()
@@ -54,7 +54,7 @@ func TestStatsSparsitySavesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	xDense := randMatrix(r, 4, 8, 2)
-	if _, err := dense.MVM(xDense); err != nil {
+	if _, err := dense.MVM(nil, xDense); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,7 +63,7 @@ func TestStatsSparsitySavesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	xSparse := linalg.NewDense(4, 8) // all zero
-	if _, err := sparse.MVM(xSparse); err != nil {
+	if _, err := sparse.MVM(nil, xSparse); err != nil {
 		t.Fatal(err)
 	}
 	if sparse.Stats().CrossbarOps >= dense.Stats().CrossbarOps {

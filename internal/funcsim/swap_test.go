@@ -1,11 +1,13 @@
 package funcsim
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"geniex/internal/core"
 	"geniex/internal/linalg"
 )
 
@@ -44,7 +46,7 @@ func refMVM(t *testing.T, model Model) *linalg.Dense {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := mat.MVM(x)
+	y, err := mat.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestSwapModelChangesOutput(t *testing.T) {
 	analRef := refMVM(t, Analytical{Cfg: cfg.Xbar})
 
 	eng, mat, x := swappableEngine(t, Ideal{}, 0)
-	y, err := mat.MVM(x)
+	y, err := mat.MVM(nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestSwapModelChangesOutput(t *testing.T) {
 	if eng.ModelName() != (Analytical{}).Name() {
 		t.Fatalf("ModelName after swap = %q", eng.ModelName())
 	}
-	if y, err = mat.MVM(x); err != nil {
+	if y, err = mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	if !sameData(y, analRef) {
@@ -112,7 +114,7 @@ func TestSwapModelChangesOutput(t *testing.T) {
 	if v != 3 {
 		t.Fatalf("version after second swap = %d, want 3", v)
 	}
-	if y, err = mat.MVM(x); err != nil {
+	if y, err = mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	if !sameData(y, idealRef) {
@@ -158,7 +160,7 @@ func TestSwapModelConcurrentMVMs(t *testing.T) {
 			defer wg.Done()
 			y := linalg.NewDense(x.Rows, mat.Out())
 			for i := 0; i < iters; i++ {
-				if err := mat.MVMInto(y, x); err != nil {
+				if err := mat.MVMInto(nil, y, x); err != nil {
 					errs <- fmt.Errorf("MVM %d under swaps: %w", i, err)
 					return
 				}
@@ -217,13 +219,13 @@ type gatedTile struct {
 	gate  chan struct{}
 }
 
-func (t gatedTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
+func (t gatedTile) CurrentsInto(ctx context.Context, dst, v *linalg.Dense, vc *core.VContext) error {
 	select {
 	case t.enter <- struct{}{}:
 	default:
 	}
 	<-t.gate
-	return t.inner.Currents(v)
+	return t.inner.CurrentsInto(ctx, dst, v, vc)
 }
 
 // SwapModel must not return until the in-flight MVMs of the retired
@@ -236,7 +238,7 @@ func TestSwapModelDrainsInflight(t *testing.T) {
 
 	mvmDone := make(chan error, 1)
 	go func() {
-		_, err := mat.MVM(x)
+		_, err := mat.MVM(nil, x)
 		mvmDone <- err
 	}()
 	<-enter // an MVM is now pinned inside the version-1 tile set
@@ -294,7 +296,7 @@ func TestSwapDuringInflightProbeShadowSolve(t *testing.T) {
 	p := eng.Probe()
 	release := make(chan struct{})
 	p.setSolveHook(func(*probeJob) { <-release })
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SwapModel(Analytical{Cfg: cfg.Xbar}); err != nil {
@@ -304,7 +306,7 @@ func TestSwapDuringInflightProbeShadowSolve(t *testing.T) {
 	close(release)
 	// The stalled job resumes under the hook; further samples solve for
 	// real against the retained conductances.
-	if _, err := mat.MVM(x); err != nil {
+	if _, err := mat.MVM(nil, x); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Drain(30 * time.Second) {

@@ -1,10 +1,12 @@
 package hwtrain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
+	"geniex/internal/core"
 	"geniex/internal/dataset"
 	"geniex/internal/funcsim"
 	"geniex/internal/linalg"
@@ -22,8 +24,8 @@ func (brokenTileModel) NewTile(g *linalg.Dense) (funcsim.Tile, error) {
 
 type brokenTile struct{}
 
-func (brokenTile) Currents(v *linalg.Dense) (*linalg.Dense, error) {
-	return nil, fmt.Errorf("injected tile failure: %w", linalg.ErrNoConvergence)
+func (brokenTile) CurrentsInto(_ context.Context, _, _ *linalg.Dense, _ *core.VContext) error {
+	return fmt.Errorf("injected tile failure: %w", linalg.ErrNoConvergence)
 }
 
 // brokenLowerModel fails at lowering time (tile construction).

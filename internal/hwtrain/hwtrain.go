@@ -158,7 +158,7 @@ func (h *hwLayer) forwardConv(c *nn.Conv2D, x *linalg.Dense) (*linalg.Dense, err
 		h.prod.Data = h.prod.Data[:need]
 	}
 	prod := h.prod
-	if err := h.mat.MVMInto(prod, cols); err != nil {
+	if err := h.mat.MVMInto(nil, prod, cols); err != nil {
 		return nil, err
 	}
 	spatial := g.OutH() * g.OutW()
@@ -180,7 +180,7 @@ func (h *hwLayer) forwardConv(c *nn.Conv2D, x *linalg.Dense) (*linalg.Dense, err
 }
 
 func (h *hwLayer) forwardLinear(l *nn.Linear, x *linalg.Dense) (*linalg.Dense, error) {
-	y, err := h.mat.MVM(x)
+	y, err := h.mat.MVM(nil, x)
 	if err != nil {
 		return nil, err
 	}

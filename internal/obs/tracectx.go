@@ -13,7 +13,7 @@ import (
 //
 // Contract: a TraceContext is injected once at the request edge
 // (serve.Server opens the root span) and flows by value through
-// serve.Runner → Sim.ForwardContext → Matrix.MVMContext →
+// serve.Runner → Sim.ForwardContext → Matrix.MVMInto →
 // BatchSolver.SolveReportIntoContext. Layers below the edge never
 // invent a trace: they check Valid() and only open child spans when a
 // trace is present, so untraced hot paths (benchmarks, training

@@ -288,7 +288,7 @@ func (r *runner) runCell(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ref, err := refM.MVM(x)
+	ref, err := refM.MVM(nil, x)
 	if err != nil {
 		return Result{}, err
 	}
@@ -320,7 +320,7 @@ func (r *runner) runCell(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	got, err := lm.MVM(x)
+	got, err := lm.MVM(nil, x)
 	if err != nil {
 		return Result{}, err
 	}

@@ -154,11 +154,11 @@ func run() error {
 			yf := linalg.NewDense(x.Rows, frozenMat.Out())
 			yc := linalg.NewDense(x.Rows, calMat.Out())
 			for !stop.Load() {
-				if err := frozenMat.MVMInto(yf, x); err != nil {
+				if err := frozenMat.MVMInto(nil, yf, x); err != nil {
 					mvmErrs.Add(1)
 					return
 				}
-				if err := calMat.MVMInto(yc, x); err != nil {
+				if err := calMat.MVMInto(nil, yc, x); err != nil {
 					mvmErrs.Add(1)
 					return
 				}
@@ -200,10 +200,10 @@ func run() error {
 	// fidelity, not history.
 	fmt.Println("calibsmoke: refreshing probe fidelity gauges...")
 	for i := 0; i < 120; i++ {
-		if _, err := frozenMat.MVM(x); err != nil {
+		if _, err := frozenMat.MVM(nil, x); err != nil {
 			return err
 		}
-		if _, err := calMat.MVM(x); err != nil {
+		if _, err := calMat.MVM(nil, x); err != nil {
 			return err
 		}
 		time.Sleep(10 * time.Millisecond) // let the paced probes sample fresh solves
